@@ -1,18 +1,17 @@
-"""Isolated kernel micro-benchmarks: backends x precisions vs legacy.
+"""Isolated kernel micro-benchmarks: the kernel engine vs legacy.
 
 Times the three hot kernel entry points of :mod:`repro.nn.ops` —
 ``segment_softmax``, ``gather_rows`` and ``scatter_rows`` — forward *and*
 backward (all tensors require grad, so the legacy baseline pays its
 ``np.add.at`` backward scatters) on a synthetic workload sized like a
-large mega-batch.  Each kernel runs once per registered
-:mod:`repro.nn.backend` at float64 and float32; the baseline is the
+large mega-batch.  Each kernel runs at float64 and float32 through the
+plan-based :class:`repro.nn.backend.KernelBackend`; the baseline is the
 legacy composite path (``use_legacy_kernels``) at the same precision, so
-``speedup = legacy_seconds / backend_seconds``.
+``speedup = legacy_seconds / seconds``.
 
 The record lands in ``benchmarks/results/kernels.json``.
 
-``REPRO_BENCH_MIN_SPEEDUP`` sets the minimum acceptable speedup of the
-accelerated backend (``auto``: numba when installed, else ``fused``) on
+``REPRO_BENCH_MIN_SPEEDUP`` sets the minimum acceptable speedup on
 ``segment_softmax`` and ``gather_rows`` (default 2.0; the CI perf-smoke
 job relaxes it to 1.0 because shared runners amortise nothing).
 """
@@ -23,9 +22,8 @@ import time
 import numpy as np
 
 from benchmarks._util import emit_json
-from repro.nn import Tensor, ops, use_backend
+from repro.nn import Tensor, ops
 from repro.nn import precision
-from repro.nn.backend import available_backends, resolve_backend
 from repro.nn.plan import SegmentPlan
 
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "2.0"))
@@ -35,7 +33,7 @@ NUM_NODES = 20_000
 NUM_EDGES = 200_000
 DIM = 32
 
-#: The two kernels the accelerated backend must beat legacy by
+#: The two kernels the plan-based engine must beat legacy by
 #: ``MIN_SPEEDUP`` on (scatter_rows is recorded but not gated: its CSR
 #: temporary keeps float64 wins below 2x on small caches).
 GATED_KERNELS = ("segment_softmax", "gather_rows")
@@ -85,11 +83,10 @@ def _kernel_cases(ids: np.ndarray, plan: SegmentPlan, rng):
     }
 
 
-def test_kernel_backend_speedups(benchmark):
+def test_kernel_speedups(benchmark):
     rng = np.random.default_rng(0)
     ids = rng.integers(0, NUM_NODES, size=NUM_EDGES).astype(np.int64)
     plan = SegmentPlan.build(ids, NUM_NODES)
-    accelerated = resolve_backend("auto").name
 
     results: dict[str, dict] = {}
     for dtype in ("float64", "float32"):
@@ -99,34 +96,22 @@ def test_kernel_backend_speedups(benchmark):
             for kernel, fn in cases.items():
                 with ops.use_legacy_kernels():
                     legacy = _time_call(lambda: fn(None))
-                backends = {}
-                for name in available_backends():
-                    with use_backend(name):
-                        seconds = _time_call(lambda: fn(plan))
-                    backends[name] = {
-                        "seconds": seconds,
-                        "speedup": legacy / seconds,
-                    }
+                seconds = _time_call(lambda: fn(plan))
                 per_kernel[kernel] = {
                     "legacy_seconds": legacy,
-                    "backends": backends,
+                    "seconds": seconds,
+                    "speedup": legacy / seconds,
                 }
             results[dtype] = per_kernel
 
-    # pytest-benchmark statistics for the accelerated softmax steady state.
-    with precision.compute_dtype("float32"), use_backend(accelerated):
+    # pytest-benchmark statistics for the float32 softmax steady state.
+    with precision.compute_dtype("float32"):
         cases = _kernel_cases(ids, plan, rng)
         benchmark(lambda: cases["segment_softmax"](plan))
 
     emit_json(
         "kernels", benchmark,
-        params={
-            "num_nodes": NUM_NODES,
-            "num_edges": NUM_EDGES,
-            "dim": DIM,
-            "backends": list(available_backends()),
-            "accelerated_backend": accelerated,
-        },
+        params={"num_nodes": NUM_NODES, "num_edges": NUM_EDGES, "dim": DIM},
         metrics={
             "min_speedup_required": MIN_SPEEDUP,
             "gated_kernels": list(GATED_KERNELS),
@@ -135,19 +120,18 @@ def test_kernel_backend_speedups(benchmark):
     )
     for dtype, per_kernel in results.items():
         for kernel, record in per_kernel.items():
-            row = record["backends"][accelerated]
             print(
                 f"{dtype} {kernel}: legacy="
                 f"{record['legacy_seconds'] * 1e3:.2f}ms "
-                f"{accelerated}={row['seconds'] * 1e3:.2f}ms "
-                f"({row['speedup']:.2f}x)",
+                f"plan={record['seconds'] * 1e3:.2f}ms "
+                f"({record['speedup']:.2f}x)",
                 flush=True,
             )
 
     for dtype, per_kernel in results.items():
         for kernel in GATED_KERNELS:
-            speedup = per_kernel[kernel]["backends"][accelerated]["speedup"]
+            speedup = per_kernel[kernel]["speedup"]
             assert speedup >= MIN_SPEEDUP, (
-                f"{accelerated} backend {kernel} speedup {speedup:.2f}x at "
-                f"{dtype} below required {MIN_SPEEDUP}x"
+                f"{kernel} speedup {speedup:.2f}x at {dtype} below "
+                f"required {MIN_SPEEDUP}x"
             )

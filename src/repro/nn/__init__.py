@@ -10,13 +10,7 @@ Public surface::
 """
 
 from repro.nn import backend, precision
-from repro.nn.backend import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
+from repro.nn.backend import KernelBackend, get_backend, use_backend
 from repro.nn.layers import MLP, Linear, get_activation
 from repro.nn.loss import huber_loss, mae_loss, mse_loss
 from repro.nn.module import Module, Parameter
@@ -56,14 +50,12 @@ __all__ = [
     "Linear",
     "KernelBackend",
     "SegmentPlan",
-    "available_backends",
     "backend",
     "compute_dtype",
     "get_backend",
     "get_compute_dtype",
     "plans_enabled",
     "precision",
-    "set_backend",
     "set_compute_dtype",
     "use_backend",
     "use_legacy_kernels",

@@ -21,13 +21,11 @@ ad-hoc calls build a plan on the fly.  :func:`use_legacy_kernels`
 switches back to the unbuffered composite kernels for benchmarking and
 parity testing.
 
-*Which implementation* answers each kernel is the thread-local policy of
-:mod:`repro.nn.backend`: every op captures the active
-:class:`~repro.nn.backend.KernelBackend` at forward time and runs both
-its forward and its backward through it, so GCN/GraphSAGE/RGCN/GAT and
-ParaGraph layers all swap kernels together when a caller scopes
-``backend.use_backend(...)``.  The ``default`` backend reproduces the
-historical code paths bit-for-bit.
+Every op captures the :class:`~repro.nn.backend.KernelBackend` of the
+current thread at forward time and runs both its forward and its
+backward through it, so a caller that scopes an instrumented subclass
+with :func:`repro.nn.backend.use_backend` sees the kernel calls of
+every GCN/GraphSAGE/RGCN/GAT and ParaGraph layer.
 """
 
 from __future__ import annotations
@@ -334,21 +332,8 @@ def scatter_rows(
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalise each row to unit L2 norm (GraphSage's final projection).
-
-    Backends may fuse this into a single tape node (forward matches the
-    composite chain bitwise; the closed-form backward agrees to roundoff).
-    The default backend keeps the historical composite Tensor-op chain.
-    """
+    """Normalise each row to unit L2 norm (GraphSage's final projection)."""
     x = as_tensor(x)
-    fused = get_backend().l2_normalize_rows(x.data, eps)
-    if fused is not None:
-        out_data, vjp = fused
-
-        def backward(grad: np.ndarray):
-            return (vjp(grad),)
-
-        return Tensor._make(out_data, (x,), backward)
     norms = (x * x).sum(axis=1, keepdims=True).clip_min(eps).sqrt()
     return x / norms
 

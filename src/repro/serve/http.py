@@ -7,7 +7,7 @@ Endpoints:
   ``{"items": [<request>, ...]}`` for a micro-batched group.  Responds with
   a :meth:`PredictionResult.to_json_dict` dump (or ``{"results": [...]}``).
 * ``GET /healthz`` — liveness plus the model inventory and the serving
-  ``compute`` policy (precision dtype + kernel backend); pool workers
+  ``compute`` policy (precision dtype); pool workers
   also report their identity (index, pid, weight ``generation``) and,
   when a metrics directory is wired, per-worker fleet liveness.
 * ``GET /metrics`` — engine stats (cache hit rate, queue depth), the

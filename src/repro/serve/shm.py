@@ -264,13 +264,15 @@ def attach_arrays(manifest: Mapping) -> AttachedArrays:
 # Model-zoo bridge
 # ----------------------------------------------------------------------
 def _leaf_predictors(model, prefix: str = ""):
-    """Yield ``(key_prefix, TargetPredictor)`` for every GNN leaf of any
-    registered model family (single predictor, multi-target suite,
-    capacitance ensemble).  Families without GNN weights (classical
+    """Yield ``(key_prefix, predictor)`` for every GNN leaf of any
+    registered model family (single predictor, shared-trunk multitask
+    model, multi-target suite, capacitance ensemble); each leaf carries
+    its module as ``.model``.  Families without GNN weights (classical
     baselines) yield nothing — their state is too small to matter."""
+    from repro.models.multitask import MultiTaskPredictor
     from repro.models.trainer import TargetPredictor
 
-    if isinstance(model, TargetPredictor):
+    if isinstance(model, (TargetPredictor, MultiTaskPredictor)):
         yield prefix, model
         return
     predictors = getattr(model, "predictors", None)

@@ -1,20 +1,19 @@
-"""``kernel-dispatch``: raw segment reductions outside the kernel backends.
+"""``kernel-dispatch``: raw segment reductions outside the kernel engine.
 
-The pluggable backend layer (:mod:`repro.nn.backend`) is the single
-dispatch point for segment reductions: it keeps every consumer on the
-CSR/plan kernels, lets ``use_backend``/``REPRO_BACKEND`` swap in the
-accelerated implementations, and keeps backend parity testable in one
-place.  Code that calls ``np.bincount``, ``np.<ufunc>.reduceat`` or
-``np.<ufunc>.at`` directly silently opts out of all three — it stays on
-the slow composite path whatever backend is active, and its numerics are
-invisible to the cross-backend parity tests.
+The kernel engine (:mod:`repro.nn.backend` behind :mod:`repro.nn.ops`)
+is the single dispatch point for segment reductions: it keeps every
+consumer on the CSR/plan kernels, lets ``use_backend`` instrument every
+kernel call, and keeps kernel parity testable in one place.  Code that
+calls ``np.bincount``, ``np.<ufunc>.reduceat`` or ``np.<ufunc>.at``
+directly silently opts out of all three — it stays on the slow composite
+path, and neither instrumentation nor the parity tests see it.
 
 Only the kernel engine itself — ``nn/plan.py`` (the CSR schedules),
 ``nn/ops.py`` (the dispatching entry points and their legacy fallback)
-and the backend implementations ``nn/backend.py`` / ``nn/_numba.py`` —
-may use the raw numpy primitives.  Everything else goes through
-``repro.nn.ops`` (or a :class:`~repro.nn.plan.SegmentPlan`), or carries
-a ``# staticcheck: ignore[kernel-dispatch]`` pragma with a reason.
+and the kernel implementation ``nn/backend.py`` — may use the raw numpy
+primitives.  Everything else goes through ``repro.nn.ops`` (or a
+:class:`~repro.nn.plan.SegmentPlan`), or carries a
+``# staticcheck: ignore[kernel-dispatch]`` pragma with a reason.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ ALLOWED_MODULES = (
     "nn/plan.py",
     "nn/ops.py",
     "nn/backend.py",
-    "nn/_numba.py",
 )
 
 _NUMPY_ROOTS = ("np", "numpy")
@@ -52,8 +50,8 @@ class KernelDispatchRule(Rule):
     name = "kernel-dispatch"
     description = (
         "raw np.bincount / np.*.reduceat / np.*.at segment reduction "
-        "outside the kernel backends (repro/nn/{plan,ops,backend,_numba}"
-        ".py); dispatch through repro.nn.ops or a SegmentPlan"
+        "outside the kernel engine (repro/nn/{plan,ops,backend}.py); "
+        "dispatch through repro.nn.ops or a SegmentPlan"
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
@@ -68,7 +66,7 @@ class KernelDispatchRule(Rule):
             yield self.finding(
                 ctx,
                 node,
-                f"raw numpy {primitive} reduction bypasses the pluggable "
-                "kernel backends (repro.nn.backend); use repro.nn.ops / "
-                "SegmentPlan so the active backend applies",
+                f"raw numpy {primitive} reduction bypasses the kernel "
+                "engine (repro.nn.backend); use repro.nn.ops / "
+                "SegmentPlan so kernel instrumentation applies",
             )

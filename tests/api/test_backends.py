@@ -1,28 +1,28 @@
-"""Cross-backend x cross-precision serving parity.
+"""Serving compute policy: the kernel-instrumentation seam and precision.
 
-The serving contract of the pluggable kernel backends: for the same
-model and circuits, ``Engine.predict_batch`` returns *identical* values
-on every registered backend at float64, and float32 values within a few
-ulp of the float32 default backend (documented tolerance: ``rtol = 4 *
-float32 eps`` — the fused/numba kernels reassociate nothing at the same
-precision).  Across precisions the float32 fast path tracks float64 to
-~1e-4 relative (inverse target transforms amplify the 1e-7 compute
-error).  The shared-trunk :class:`MultiTaskAdapter` honours the same
-contract for single-graph and merged-batch forwards, including graphs
-with empty node-type segments and single-node readouts.
+``EngineConfig(backend=instance)`` injects a
+:class:`~repro.nn.backend.KernelBackend` subclass for every forward the
+engine runs, on whichever thread runs it: the caller's thread for
+:meth:`Engine.predict`, the micro-batching executor's workers for
+:meth:`Engine.predict_batch`.  Across precisions the float32 fast path
+tracks float64 to ~1e-4 relative (inverse target transforms amplify the
+1e-7 compute error), for single-model engines and for the shared-trunk
+:class:`MultiTaskAdapter`, including graphs with empty node-type
+segments.
 """
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.api import create_engine
+from repro.api import Engine, EngineConfig, create_engine
 from repro.api.adapters import GraphWork, MultiTaskAdapter
 from repro.api.types import PredictionRequest
-from repro.nn import use_backend
-from repro.nn.backend import available_backends
+from repro.nn.backend import get_backend
 from repro.nn.precision import compute_dtype
 
-FLOAT32_RTOL = 4 * float(np.finfo(np.float32).eps)
 #: float32 serving vs float64 serving, after inverse target transforms
 CROSS_PRECISION_RTOL = 1e-3
 
@@ -38,65 +38,53 @@ def multitask_predictor(tiny_bundle):
     )._fit_quiet(tiny_bundle)
 
 
-def _engine_values(predictor, circuits, *, dtype, backend):
+def _engine_values(predictor, circuits, *, dtype):
     """{target: [values per circuit]} from a fresh engine."""
     requests = [PredictionRequest(circuit=c) for c in circuits]
-    with create_engine(
-        predictor, dtype=dtype, backend=backend, workers=1
-    ) as engine:
+    with create_engine(predictor, dtype=dtype, workers=1) as engine:
         results = engine.predict_batch(requests)
     return [
         {t: r.targets[t].values for t in sorted(r.targets)} for r in results
     ]
 
 
+@pytest.fixture(scope="module")
+def circuits(tiny_bundle):
+    return [r.circuit for r in tiny_bundle.records("test")[:3]]
+
+
+class TestInjectedBackend:
+    def test_engine_kernel_calls_reach_injected_instance(
+        self, api_cap_predictor, circuits, counting_backend
+    ):
+        backend = counting_backend()
+        config = EngineConfig(workers=2, backend=backend)
+        requests = [PredictionRequest(circuit=c) for c in circuits]
+        with Engine(api_cap_predictor, config=config) as engine:
+            # predict on request-handler threads, predict_batch on the
+            # engine's own executor workers
+            with ThreadPoolExecutor(2, thread_name_prefix="handler") as pool:
+                singles = list(pool.map(engine.predict, requests))
+            batched = engine.predict_batch(requests)
+        with create_engine(api_cap_predictor, workers=1) as plain_engine:
+            plain = plain_engine.predict_batch(requests)
+
+        threads = {thread for _, thread in backend.counts}
+        assert any(name.startswith("handler") for name in threads)
+        assert any("-worker-" in name for name in threads)
+        assert threading.current_thread().name not in threads
+        assert get_backend() is not backend
+        for results in (singles, batched):
+            for got, ref in zip(results, plain):
+                np.testing.assert_array_equal(
+                    got.targets["CAP"].values, ref.targets["CAP"].values
+                )
+
+
 class TestEnginePredictBatchParity:
-    @pytest.fixture(scope="class")
-    def circuits(self, tiny_bundle):
-        return [r.circuit for r in tiny_bundle.records("test")[:3]]
-
-    def test_float64_bit_identical_across_backends(
-        self, api_cap_predictor, circuits
-    ):
-        reference = _engine_values(
-            api_cap_predictor, circuits, dtype="float64", backend="default"
-        )
-        for name in available_backends():
-            candidate = _engine_values(
-                api_cap_predictor, circuits, dtype="float64", backend=name
-            )
-            for ref, got in zip(reference, candidate):
-                for target in ref:
-                    np.testing.assert_array_equal(
-                        got[target], ref[target],
-                        err_msg=f"{name}:{target} (float64)",
-                    )
-
-    def test_float32_within_ulps_across_backends(
-        self, api_cap_predictor, circuits
-    ):
-        reference = _engine_values(
-            api_cap_predictor, circuits, dtype="float32", backend="default"
-        )
-        for name in available_backends():
-            candidate = _engine_values(
-                api_cap_predictor, circuits, dtype="float32", backend=name
-            )
-            for ref, got in zip(reference, candidate):
-                for target in ref:
-                    np.testing.assert_allclose(
-                        got[target], ref[target],
-                        rtol=FLOAT32_RTOL, atol=0.0,
-                        err_msg=f"{name}:{target} (float32)",
-                    )
-
     def test_float32_tracks_float64(self, api_cap_predictor, circuits):
-        doubles = _engine_values(
-            api_cap_predictor, circuits, dtype="float64", backend="default"
-        )
-        singles = _engine_values(
-            api_cap_predictor, circuits, dtype="float32", backend="default"
-        )
+        doubles = _engine_values(api_cap_predictor, circuits, dtype="float64")
+        singles = _engine_values(api_cap_predictor, circuits, dtype="float32")
         for ref, got in zip(doubles, singles):
             for target in ref:
                 np.testing.assert_allclose(
@@ -114,56 +102,25 @@ class TestMultiTaskAdapterParity:
             for record in tiny_bundle.records("test")[:3]
         ]
 
-    def _values(self, adapter, works, *, dtype, backend):
-        with compute_dtype(dtype), use_backend(backend):
+    def _values(self, adapter, works, *, dtype):
+        with compute_dtype(dtype):
             per_work = adapter.predict_works(works, adapter.targets)
         return [
             {t: values for t, (_, values) in slot.items()} for slot in per_work
         ]
 
-    def test_merged_batch_parity_across_backends(
-        self, multitask_predictor, works
-    ):
+    def test_float32_tracks_float64(self, multitask_predictor, works):
         adapter = MultiTaskAdapter(multitask_predictor)
-        for dtype, rtol in (("float64", 0.0), ("float32", FLOAT32_RTOL)):
-            reference = self._values(
-                adapter, works, dtype=dtype, backend="default"
-            )
-            for name in available_backends():
-                candidate = self._values(
-                    adapter, works, dtype=dtype, backend=name
-                )
-                for ref, got in zip(reference, candidate):
-                    for target in ref:
-                        if rtol == 0.0:
-                            np.testing.assert_array_equal(
-                                got[target], ref[target],
-                                err_msg=f"{name}:{target} ({dtype})",
-                            )
-                        else:
-                            np.testing.assert_allclose(
-                                got[target], ref[target],
-                                rtol=rtol, atol=0.0,
-                                err_msg=f"{name}:{target} ({dtype})",
-                            )
-
-    def test_single_graph_parity_across_backends(
-        self, multitask_predictor, works
-    ):
-        # the len(works) == 1 fast path takes a different code route
-        adapter = MultiTaskAdapter(multitask_predictor)
-        reference = self._values(
-            adapter, works[:1], dtype="float64", backend="default"
-        )
-        for name in available_backends():
-            candidate = self._values(
-                adapter, works[:1], dtype="float64", backend=name
-            )
-            for target in reference[0]:
-                np.testing.assert_array_equal(
-                    candidate[0][target], reference[0][target],
-                    err_msg=f"{name}:{target}",
-                )
+        for batch in (works, works[:1]):  # merged and single-graph routes
+            doubles = self._values(adapter, batch, dtype="float64")
+            singles = self._values(adapter, batch, dtype="float32")
+            for ref, got in zip(doubles, singles):
+                for target in ref:
+                    np.testing.assert_allclose(
+                        got[target], ref[target],
+                        rtol=CROSS_PRECISION_RTOL, atol=1e-20,
+                        err_msg=f"{target} float32 vs float64",
+                    )
 
     def test_empty_node_type_segments_covered(self, tiny_bundle, works):
         # serving graphs routinely lack whole device kinds; the

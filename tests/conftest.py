@@ -1,13 +1,48 @@
-"""Shared fixtures: a tiny dataset bundle plus cheap trained models.
+"""Shared fixtures: a tiny dataset bundle, cheap trained models and a
+kernel-call counting backend.
 
 The trained-model fixtures are session-scoped because ``fit`` dominates
 test wall time; everything the api/serve tests derive from them (engines,
 registries, saved artifacts) is rebuilt per test.
 """
 
+import collections
+import threading
+
 import pytest
 
 from repro.data import build_bundle
+from repro.nn.backend import KernelBackend
+
+
+@pytest.fixture
+def counting_backend():
+    """A factory of KernelBackend subclass instances that tally every
+    public kernel call in ``instance.counts[kernel, thread name]``."""
+    kernels = [
+        name for name, value in vars(KernelBackend).items()
+        if callable(value) and not name.startswith("_")
+    ]
+
+    def wrap(name):
+        method = getattr(KernelBackend, name)
+
+        def call(self, *args, **kwargs):
+            with self.lock:
+                self.counts[name, threading.current_thread().name] += 1
+            return method(self, *args, **kwargs)
+
+        return call
+
+    cls = type("Counting", (KernelBackend,), {n: wrap(n) for n in kernels})
+
+    def make():
+        backend = cls()
+        backend.counts = collections.Counter()
+        backend.lock = threading.Lock()
+        return backend
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,12 @@
-"""Cross-backend parity for the pluggable kernel engine.
+"""The kernel implementation and its instrumentation seam.
 
-The contract of :mod:`repro.nn.backend`: at float64 every registered
-backend is bit-identical to the ``default`` (CSR plan) backend on every
-kernel entry point, forward *and* backward — except the documented
-relu sign-of-zero difference (``np.maximum`` produces ``+0.0`` where
-``x * mask`` produces ``-0.0``; value-equal either way) and the fused
-``l2_normalize_rows`` backward (closed-form vjp vs the composite tape;
-roundoff-level).  At float32, forwards agree to a few ulp.  Edge cases —
-empty segments, a single node, empty inputs — behave identically on
-every backend.
+:class:`~repro.nn.backend.KernelBackend` is the one implementation behind
+every :mod:`repro.nn.ops` kernel.  A subclass instance scoped with
+``use_backend`` (thread-local) receives every kernel call of the
+current thread — forward and backward — which is how per-kernel
+instrumentation attaches.  Edge cases (empty segments, a single node,
+empty inputs) and the float32 policy are pinned here; bitwise parity
+with the legacy ``np.add.at`` kernels lives in ``tests/nn/test_plan.py``.
 """
 
 import threading
@@ -18,246 +16,228 @@ import pytest
 
 from repro import nn
 from repro.nn import Tensor, ops, use_backend
-from repro.nn.backend import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_backend,
-)
+from repro.nn.backend import KernelBackend, get_backend
 from repro.nn.plan import SegmentPlan
 from repro.nn.precision import compute_dtype
 
-#: backends compared against "default" in the parity tests
-OTHERS = [name for name in available_backends() if name != "default"]
-
 NUM_ITEMS, NUM_SEGMENTS, DIM = 40, 11, 5
 
-
-def _workload(dtype, seed=0, num_items=NUM_ITEMS, num_segments=NUM_SEGMENTS):
+def _workload(dtype, seed=0):
     rng = np.random.default_rng(seed)
-    ids = rng.integers(0, num_segments, size=num_items).astype(np.int64)
-    plan = SegmentPlan.build(ids, num_segments)
-    values = rng.standard_normal((num_items, DIM)).astype(dtype)
-    scores = rng.standard_normal((num_items, 1)).astype(dtype)
-    nodes = rng.standard_normal((num_segments, DIM)).astype(dtype)
+    ids = rng.integers(0, NUM_SEGMENTS, size=NUM_ITEMS).astype(np.int64)
+    plan = SegmentPlan.build(ids, NUM_SEGMENTS)
+    values = rng.standard_normal((NUM_ITEMS, DIM)).astype(dtype)
+    scores = rng.standard_normal((NUM_ITEMS, 1)).astype(dtype)
+    nodes = rng.standard_normal((NUM_SEGMENTS, DIM)).astype(dtype)
     return ids, plan, values, scores, nodes
 
 
-def _kernel_results(backend_name, dtype):
-    """Forward + gradient arrays of every kernel under one backend."""
-    with compute_dtype(dtype), use_backend(backend_name):
-        ids, plan, values, scores, nodes = _workload(dtype)
-        results = {}
-
-        x = Tensor(values, requires_grad=True)
-        out = ops.segment_sum(x, ids, NUM_SEGMENTS, plan=plan)
-        out.backward(np.ones_like(out.data))
-        results["segment_sum"] = (out.data, x.grad)
-
-        x = Tensor(values, requires_grad=True)
-        out = ops.segment_mean(x, ids, NUM_SEGMENTS, plan=plan)
-        out.backward(np.ones_like(out.data))
-        results["segment_mean"] = (out.data, x.grad)
-
-        s = Tensor(scores, requires_grad=True)
-        out = ops.segment_softmax(s, ids, NUM_SEGMENTS, plan=plan)
-        out.backward(np.ones_like(out.data))
-        results["segment_softmax"] = (out.data, s.grad)
-
-        n = Tensor(nodes, requires_grad=True)
-        out = ops.gather_rows(n, ids, plan=plan)
-        out.backward(np.ones_like(out.data))
-        results["gather_rows"] = (out.data, n.grad)
-
-        p = Tensor(values, requires_grad=True)
-        out = ops.scatter_rows([p], [ids], NUM_SEGMENTS, plans=[plan])
-        out.backward(np.ones_like(out.data))
-        results["scatter_rows"] = (out.data, p.grad)
-
-        for name, op in (
-            ("relu", ops.relu),
-            ("leaky_relu", ops.leaky_relu),
-            ("sigmoid", ops.sigmoid),
-            ("tanh", ops.tanh),
-        ):
-            x = Tensor(values, requires_grad=True)
-            out = op(x)
-            out.backward(np.ones_like(out.data))
-            results[name] = (out.data, x.grad)
-
-        x = Tensor(values, requires_grad=True)
-        out = ops.l2_normalize_rows(x)
-        out.backward(np.ones_like(out.data))
-        results["l2_normalize_rows"] = (out.data, x.grad)
-        return results
-
-
-class TestFloat64Parity:
-    @pytest.mark.parametrize("other", OTHERS)
-    def test_kernels_bit_identical(self, other):
-        reference = _kernel_results("default", "float64")
-        candidate = _kernel_results(other, "float64")
-        for kernel, (ref_out, ref_grad) in reference.items():
-            out, grad = candidate[kernel]
-            np.testing.assert_array_equal(
-                out, ref_out, err_msg=f"{other}:{kernel} forward"
-            )
-            if kernel == "l2_normalize_rows":
-                # fused closed-form vjp vs composite tape: roundoff only
-                np.testing.assert_allclose(
-                    grad, ref_grad, rtol=1e-12, atol=1e-15,
-                    err_msg=f"{other}:{kernel} backward",
-                )
-            else:
-                np.testing.assert_array_equal(
-                    grad, ref_grad, err_msg=f"{other}:{kernel} backward"
-                )
+def _kernel_cases(dtype):
+    """{name: (input array, op)} covering every ops kernel entry point."""
+    ids, plan, values, scores, nodes = _workload(dtype)
+    return {
+        "segment_sum": (
+            values, lambda x: ops.segment_sum(x, ids, NUM_SEGMENTS, plan=plan)
+        ),
+        "segment_mean": (
+            values, lambda x: ops.segment_mean(x, ids, NUM_SEGMENTS, plan=plan)
+        ),
+        "segment_softmax": (
+            scores, lambda x: ops.segment_softmax(x, ids, NUM_SEGMENTS, plan=plan)
+        ),
+        "gather_rows": (nodes, lambda x: ops.gather_rows(x, ids, plan=plan)),
+        "scatter_rows": (
+            values, lambda x: ops.scatter_rows([x], [ids], NUM_SEGMENTS, plans=[plan])
+        ),
+        "relu": (values, ops.relu),
+        "leaky_relu": (values, ops.leaky_relu),
+        "sigmoid": (values, ops.sigmoid),
+        "tanh": (values, ops.tanh),
+        "l2_normalize_rows": (values, ops.l2_normalize_rows),
+    }
 
 
 class TestFloat32Parity:
-    @pytest.mark.parametrize("other", OTHERS)
-    def test_kernels_match_within_ulps(self, other):
-        reference = _kernel_results("default", "float32")
-        candidate = _kernel_results(other, "float32")
-        for kernel, (ref_out, ref_grad) in reference.items():
-            out, grad = candidate[kernel]
-            # documented float32 tolerance: a few ulp of the reference
-            np.testing.assert_allclose(
-                out, ref_out, rtol=4 * np.finfo(np.float32).eps, atol=1e-30,
-                err_msg=f"{other}:{kernel} forward",
-            )
-            np.testing.assert_allclose(
-                grad, ref_grad, rtol=1e-5, atol=1e-7,
-                err_msg=f"{other}:{kernel} backward",
-            )
-
     def test_outputs_are_float32(self):
-        for name in available_backends():
-            with compute_dtype("float32"), use_backend(name):
-                ids, plan, values, scores, _ = _workload("float32")
-                out = ops.segment_softmax(
-                    Tensor(scores), ids, NUM_SEGMENTS, plan=plan
-                )
-                assert out.data.dtype == np.float32
+        with compute_dtype("float32"):
+            for name, (data, op) in _kernel_cases("float32").items():
+                x = Tensor(data, requires_grad=True)
+                out = op(x)
+                out.backward(np.ones_like(out.data))
+                assert out.data.dtype == np.float32, name
+                assert x.grad.dtype == np.float32, name
+
+
+#: the instances the edge cases run on: the process default, and a fresh
+#: scoped instance (the fused kernels reached through ``use_backend``)
+EDGE_BACKENDS = {"default": lambda: None, "fused": KernelBackend}
+
+
+def _scoped(name):
+    """Scope the edge-case instance *name* for this thread."""
+    return use_backend(EDGE_BACKENDS[name]())
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("name", list(available_backends()))
+    @pytest.mark.parametrize("name", list(EDGE_BACKENDS))
     def test_empty_segments_match_default(self, name):
         # half the segments receive no items: softmax denominators guard,
         # means divide by max(count, 1), sums stay zero
         ids = np.array([0, 0, 2, 2, 2], dtype=np.int64)
         plan = SegmentPlan.build(ids, 6)
         values = np.linspace(-1.0, 1.0, 5 * DIM).reshape(5, DIM)
-        with use_backend("default"):
-            ref_sum = ops.segment_sum(Tensor(values), ids, 6, plan=plan).data
-            ref_soft = ops.segment_softmax(
-                Tensor(values[:, :1]), ids, 6, plan=plan
-            ).data
-        with use_backend(name):
+        scores = values[:, :1]
+        ref_sum = ops.segment_sum(Tensor(values), ids, 6, plan=plan).data
+        ref_soft = ops.segment_softmax(Tensor(scores), ids, 6, plan=plan).data
+        with ops.use_legacy_kernels():
+            legacy = ops.segment_sum(Tensor(values), ids, 6).data
+        np.testing.assert_array_equal(ref_sum, legacy)
+        np.testing.assert_array_equal(ref_sum[[1, 3, 4, 5]], 0.0)
+        expected = np.empty_like(scores)
+        for segment in (0, 2):
+            rows = ids == segment
+            exp = np.exp(scores[rows] - scores[rows].max())
+            expected[rows] = exp / exp.sum()
+        np.testing.assert_allclose(ref_soft, expected, rtol=1e-15)
+
+        with _scoped(name):
             np.testing.assert_array_equal(
                 ops.segment_sum(Tensor(values), ids, 6, plan=plan).data,
                 ref_sum,
             )
             np.testing.assert_array_equal(
-                ops.segment_softmax(
-                    Tensor(values[:, :1]), ids, 6, plan=plan
-                ).data,
+                ops.segment_softmax(Tensor(scores), ids, 6, plan=plan).data,
                 ref_soft,
             )
+            mean = ops.segment_mean(Tensor(values), ids, 6, plan=plan).data
+            np.testing.assert_array_equal(mean[[1, 3, 4, 5]], 0.0)
 
-    @pytest.mark.parametrize("name", list(available_backends()))
+    @pytest.mark.parametrize("name", list(EDGE_BACKENDS))
     def test_single_node_graph(self, name):
         ids = np.zeros(1, dtype=np.int64)
         plan = SegmentPlan.build(ids, 1)
         values = np.array([[2.0, -3.0]])
-        with use_backend(name):
+        with _scoped(name):
             out = ops.segment_softmax(Tensor(values), ids, 1, plan=plan)
             np.testing.assert_array_equal(out.data, np.ones_like(values))
             gathered = ops.gather_rows(Tensor(values), ids, plan=plan)
             np.testing.assert_array_equal(gathered.data, values)
 
-    @pytest.mark.parametrize("name", list(available_backends()))
+    @pytest.mark.parametrize("name", list(EDGE_BACKENDS))
     def test_empty_items(self, name):
         ids = np.empty(0, dtype=np.int64)
         plan = SegmentPlan.build(ids, 4)
         values = np.empty((0, DIM))
-        with use_backend(name):
+        with _scoped(name):
             out = ops.segment_sum(Tensor(values), ids, 4, plan=plan)
             np.testing.assert_array_equal(out.data, np.zeros((4, DIM)))
 
 
 class TestSelection:
     def test_default_is_default(self):
-        assert get_backend().name == "default"
+        assert type(get_backend()) is KernelBackend
+        assert get_backend() is get_backend()
 
     def test_use_backend_restores(self):
-        with use_backend("fused"):
-            assert get_backend().name == "fused"
-            with use_backend("default"):
-                assert get_backend().name == "default"
-            assert get_backend().name == "fused"
-        assert get_backend().name == "default"
+        outer, inner = KernelBackend(), KernelBackend()
+        default = get_backend()
+        with use_backend(outer):
+            assert get_backend() is outer
+            with use_backend(inner):
+                assert get_backend() is inner
+            assert get_backend() is outer
+        assert get_backend() is default
 
-    def test_set_backend_is_thread_local(self):
+    def test_use_backend_is_thread_local(self):
         seen = {}
 
         def probe():
-            seen["worker"] = get_backend().name
+            seen["worker"] = get_backend()
 
-        with use_backend("fused"):
+        scoped = KernelBackend()
+        with use_backend(scoped):
             thread = threading.Thread(target=probe)
             thread.start()
             thread.join()
-        assert seen["worker"] == "default"
-
-    def test_resolve_auto_prefers_accelerated(self):
-        resolved = resolve_backend("auto")
-        assert resolved.name in ("numba", "fused")
-        if "numba" in available_backends():
-            assert resolved.name == "numba"
+        assert seen["worker"] is not scoped
+        assert type(seen["worker"]) is KernelBackend
 
     def test_resolve_instance_passthrough(self):
-        backend = resolve_backend("fused")
-        assert resolve_backend(backend) is backend
+        # the injected instance itself answers; nothing copies it
+        backend = KernelBackend()
+        with use_backend(backend) as active:
+            assert active is backend
 
     def test_resolve_none_is_thread_policy(self):
-        with use_backend("fused"):
-            assert resolve_backend(None).name == "fused"
+        # None means "no change": the thread keeps its current instance
+        scoped = KernelBackend()
+        with use_backend(scoped):
+            with use_backend(None) as active:
+                assert active is scoped
+            assert get_backend() is scoped
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_backend("cuda")
-
-    def test_register_rejects_auto_and_duplicates(self):
-        class Impostor(KernelBackend):
-            name = "auto"
-
-        with pytest.raises(ValueError, match="selector"):
-            register_backend(Impostor())
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(KernelBackend())
-
-    def test_env_override(self, monkeypatch):
-        from repro.nn import backend as backend_mod
-
-        monkeypatch.setattr(backend_mod, "_process_default", [None])
-        monkeypatch.setenv("REPRO_BACKEND", "fused")
-        assert get_backend().name == "fused"
-        monkeypatch.setattr(backend_mod, "_process_default", [None])
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert get_backend().name == "default"
+        # kernels are chosen by injecting an instance, never by name
+        with pytest.raises(TypeError, match="KernelBackend instance"):
+            with use_backend("fused"):
+                pass
 
     def test_nn_exports(self):
         assert nn.get_backend is get_backend
-        assert "fused" in nn.available_backends()
+        assert nn.use_backend is use_backend
+        assert nn.KernelBackend is KernelBackend
 
 
-@pytest.mark.skipif(
-    "numba" not in available_backends(), reason="numba not installed"
-)
-class TestNumbaBackend:
-    def test_registered_and_selected_by_auto(self):
-        assert resolve_backend("auto").name == "numba"
+class TestInstrumentationSeam:
+    #: op -> (kernel its forward calls, kernel its backward calls)
+    ROUTES = {
+        "segment_sum": ("scatter_add", "gather_rows"),
+        "segment_mean": ("scatter_add", "gather_rows"),
+        "segment_softmax": ("segment_softmax", "segment_softmax_backward"),
+        "gather_rows": ("gather_rows", "scatter_add"),
+        "scatter_rows": ("scatter_add", "gather_rows"),
+        "relu": ("relu", None),
+        "leaky_relu": ("leaky_relu", None),
+        "sigmoid": ("sigmoid", None),
+        "tanh": ("tanh", None),
+    }
+
+    def test_scoped_subclass_sees_every_kernel_call(self, counting_backend):
+        here = threading.current_thread().name
+        for name, (data, op) in _kernel_cases("float64").items():
+            if name not in self.ROUTES:
+                continue
+            forward, backward = self.ROUTES[name]
+            backend = counting_backend()
+            with use_backend(backend):
+                x = Tensor(data, requires_grad=True)
+                out = op(x)
+                assert backend.counts[forward, here] > 0, name
+                out.backward(np.ones_like(out.data))
+            if backward is not None:
+                assert backend.counts[backward, here] > 0, name
+
+    def test_train_step_kernel_calls_reach_scoped_subclass(
+        self, tiny_bundle, counting_backend
+    ):
+        # the repo benchmark's traced training run relies on this seam:
+        # a subclass scoped around repro.flows.train sees the forward and
+        # the backward kernels, and instrumenting changes no number
+        from repro.flows import TrainPlan, train
+        from repro.models import TrainConfig
+
+        plan = TrainPlan(
+            targets=("CAP",),
+            config=TrainConfig(epochs=1, embed_dim=8, num_layers=2, run_seed=0),
+        )
+        plain = train(tiny_bundle, plan)
+        backend = counting_backend()
+        with use_backend(backend):
+            traced = train(tiny_bundle, plan)
+
+        here = threading.current_thread().name
+        for kernel in ("gather_rows", "scatter_add", "segment_softmax",
+                       "segment_softmax_backward"):
+            assert backend.counts[kernel, here] > 0, kernel
+        assert traced.histories["CAP"].losses == plain.histories["CAP"].losses
+        assert get_backend() is not backend

@@ -130,6 +130,34 @@ class TestRegistryBridge:
         np.testing.assert_array_equal(before, after)
         published.unlink()
 
+    def test_shared_trunk_registry_publishes_and_adopts(self, tiny_bundle):
+        from repro.models import MultiTaskPredictor, TrainConfig
+
+        predictor = MultiTaskPredictor(
+            "paragraph",
+            targets=["CAP", "SA"],
+            config=TrainConfig(epochs=2, embed_dim=8, num_layers=2, run_seed=3),
+        )._fit_quiet(tiny_bundle)
+        graph = tiny_bundle.records("test")[0].graph
+        before = predictor.predict_all_graph(graph)
+
+        registry = ModelRegistry()
+        registry.register("shared", predictor)
+        published = publish_registry_weights(registry)
+        try:
+            named = dict(predictor.model.named_parameters())
+            assert set(published.arrays) == {f"shared/{name}" for name in named}
+            assert adopt_weight_arrays(registry, published.arrays) == len(named)
+            for name, param in named.items():
+                assert param.data is published.arrays[f"shared/{name}"]
+            after = predictor.predict_all_graph(graph)
+            assert sorted(after) == ["CAP", "SA"]
+            for target, (ids, values) in before.items():
+                np.testing.assert_array_equal(after[target][0], ids)
+                np.testing.assert_array_equal(after[target][1], values)
+        finally:
+            published.unlink()
+
     def test_adoption_refuses_shape_mismatch(self, api_cap_predictor):
         registry = ModelRegistry()
         registry.register("CAP", api_cap_predictor)

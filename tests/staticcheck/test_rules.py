@@ -94,7 +94,6 @@ class TestKernelDispatch:
             "src/repro/nn/plan.py",
             "src/repro/nn/ops.py",
             "src/repro/nn/backend.py",
-            "src/repro/nn/_numba.py",
         ):
             assert not by_rule(
                 lint(self.BAD_REDUCEAT, path), "kernel-dispatch"
