@@ -29,6 +29,7 @@ from repro.nn import (
     gather_rows,
     l2_normalize_rows,
     leaky_relu,
+    no_grad,
     relu,
     segment_mean,
     segment_softmax,
@@ -87,6 +88,28 @@ class RGCNConv(Module):
         self.self_weight = Parameter(nn_init.xavier_uniform((dim, dim), rng))
 
     def forward(self, h: Tensor, inputs: GraphInputs) -> Tensor:
+        if ops.plans_enabled():
+            layout = inputs.relational_layout()
+            agg = ops.relational_aggregate(
+                h,
+                layout,
+                [
+                    [self.relation_weights[edge_type]]
+                    if edge_type in self.relation_weights and hi > lo
+                    else None
+                    for edge_type, lo, hi in layout.blocks
+                ],
+            )
+        else:
+            agg = self._legacy_aggregate(h, inputs)
+        self_term = h @ self.self_weight
+        if agg is None:
+            return relu(self_term)
+        return relu(agg + self_term)
+
+    def _legacy_aggregate(self, h: Tensor, inputs: GraphInputs) -> "Tensor | None":
+        """The per-type loop on the legacy kernels: the parity oracle of
+        the fused layer under :func:`repro.nn.use_legacy_kernels`."""
         agg = None
         for edge_type in self.edge_types:
             if edge_type not in inputs.edges:
@@ -94,21 +117,15 @@ class RGCNConv(Module):
             src, dst = inputs.edges[edge_type]
             if len(src) == 0:
                 continue
-            weight = self.relation_weights[edge_type]
             src_plan, dst_plan = inputs.edge_plans(edge_type)
-            if ops.plans_enabled():
-                # Gather-first: transform E edge rows, not all N nodes.
-                messages = gather_rows(h, src, plan=src_plan) @ weight
-            else:
-                messages = gather_rows(h @ weight, src, plan=src_plan)
+            messages = gather_rows(
+                h @ self.relation_weights[edge_type], src, plan=src_plan
+            )
             summed = segment_sum(messages, dst, inputs.num_nodes, plan=dst_plan)
             inv = Tensor(inputs.edge_inv_counts(edge_type, h.data.dtype))
             contribution = summed * inv
             agg = contribution if agg is None else agg + contribution
-        self_term = h @ self.self_weight
-        if agg is None:
-            return relu(self_term)
-        return relu(agg + self_term)
+        return agg
 
 
 class GATConv(Module):
@@ -200,53 +217,34 @@ class ParaGraphConv(Module):
     def _group_key(self, edge_type: str) -> str:
         return edge_type if self.group_edge_types else "__shared__"
 
-    def _aggregate_head(
-        self, h: Tensor, inputs: GraphInputs, key: str, edge_type: str,
-        src: np.ndarray, dst: np.ndarray, wh_cache: dict,
-    ) -> Tensor:
-        src_plan, dst_plan = inputs.edge_plans(edge_type)
-        if ops.plans_enabled() and self.group_edge_types:
-            # Gather-first: each edge type has its own weight, so transform
-            # only the 2·E edge-incident rows instead of all N nodes per
-            # type.  The per-type h[src]/h[dst] gathers are shared across
-            # heads through *wh_cache*.
-            hs_key = ("h_src", edge_type)
-            if hs_key not in wh_cache:
-                wh_cache[hs_key] = gather_rows(h, src, plan=src_plan)
-            wh_src = wh_cache[hs_key] @ self.type_weights[key]
-            if self.use_attention:
-                hd_key = ("h_dst", edge_type)
-                if hd_key not in wh_cache:
-                    wh_cache[hd_key] = gather_rows(h, dst, plan=dst_plan)
-                wh_dst = wh_cache[hd_key] @ self.type_weights[key]
-                logits = leaky_relu(
-                    wh_dst @ self.attn_dst[key] + wh_src @ self.attn_src[key],
-                    self.negative_slope,
-                )
-                alpha = segment_softmax(
-                    logits, dst, inputs.num_nodes, plan=dst_plan
-                )
-                return segment_sum(
-                    wh_src * alpha, dst, inputs.num_nodes, plan=dst_plan
-                )
-            return segment_mean(wh_src, dst, inputs.num_nodes, plan=dst_plan)
-        if key not in wh_cache:
-            wh_cache[key] = h @ self.type_weights[key]
-        wh = wh_cache[key]
-        if self.use_attention:
-            logits = leaky_relu(
-                gather_rows(wh @ self.attn_dst[key], dst, plan=dst_plan)
-                + gather_rows(wh @ self.attn_src[key], src, plan=src_plan),
-                self.negative_slope,
-            )
-            alpha = segment_softmax(logits, dst, inputs.num_nodes, plan=dst_plan)
-            messages = gather_rows(wh, src, plan=src_plan) * alpha
-            return segment_sum(messages, dst, inputs.num_nodes, plan=dst_plan)
-        return segment_mean(
-            gather_rows(wh, src, plan=src_plan),
-            dst,
-            inputs.num_nodes,
-            plan=dst_plan,
+    def _head_keys(self, edge_type: str) -> list[str]:
+        group_key = self._group_key(edge_type)
+        if f"{group_key}#0" not in self.type_weights:
+            raise ModelError(f"no weights for edge type {edge_type!r}")
+        return [f"{group_key}#{head}" for head in range(self.num_heads)]
+
+    def _aggregate(
+        self, h: Tensor, inputs: GraphInputs, return_alpha: bool = False
+    ):
+        """Lines 5-8 of Algorithm 1 for every edge type and head at once."""
+        layout = inputs.relational_layout()
+        keys = [
+            self._head_keys(edge_type) if hi > lo else None
+            for edge_type, lo, hi in layout.blocks
+        ]
+
+        def params(table):
+            return [None if k is None else [table[key] for key in k] for k in keys]
+
+        attention = self.use_attention
+        return ops.relational_aggregate(
+            h,
+            layout,
+            params(self.type_weights),
+            params(self.attn_dst) if attention else None,
+            params(self.attn_src) if attention else None,
+            self.negative_slope,
+            return_alpha=return_alpha,
         )
 
     def attention_weights(
@@ -260,43 +258,57 @@ class ParaGraphConv(Module):
         """
         if not self.use_attention:
             raise ModelError("attention is disabled on this layer")
-        weights: dict[str, np.ndarray] = {}
-        for edge_type in sorted(inputs.edges):
-            src, dst = inputs.edges[edge_type]
-            if len(src) == 0:
-                continue
-            key = f"{self._group_key(edge_type)}#0"
-            src_plan, dst_plan = inputs.edge_plans(edge_type)
-            wh = h @ self.type_weights[key]
-            logits = leaky_relu(
-                gather_rows(wh @ self.attn_dst[key], dst, plan=dst_plan)
-                + gather_rows(wh @ self.attn_src[key], src, plan=src_plan),
-                self.negative_slope,
-            )
-            alpha = segment_softmax(logits, dst, inputs.num_nodes, plan=dst_plan)
-            weights[edge_type] = alpha.numpy().ravel().copy()
-        return weights
+        with no_grad():
+            _, alpha = self._aggregate(h, inputs, return_alpha=True)
+        return {
+            edge_type: alpha[lo:hi, 0].copy()
+            for edge_type, lo, hi in inputs.relational_layout().blocks
+            if hi > lo
+        }
 
-    def forward(self, h: Tensor, inputs: GraphInputs) -> Tensor:
+    def _legacy_aggregate(self, h: Tensor, inputs: GraphInputs) -> Tensor:
+        """The per-type × per-head loop on the legacy kernels: the parity
+        oracle of the fused layer under :func:`repro.nn.use_legacy_kernels`."""
         agg = None
         wh_cache: dict[str, Tensor] = {}
         for edge_type in sorted(inputs.edges):
             src, dst = inputs.edges[edge_type]
             if len(src) == 0:
                 continue
-            group_key = self._group_key(edge_type)
-            if f"{group_key}#0" not in self.type_weights:
-                raise ModelError(f"no weights for edge type {edge_type!r}")
-            heads = [
-                self._aggregate_head(
-                    h, inputs, f"{group_key}#{head}", edge_type, src, dst, wh_cache
-                )
-                for head in range(self.num_heads)
-            ]
+            src_plan, dst_plan = inputs.edge_plans(edge_type)
+            heads = []
+            for key in self._head_keys(edge_type):
+                if key not in wh_cache:
+                    wh_cache[key] = h @ self.type_weights[key]
+                wh = wh_cache[key]
+                messages = gather_rows(wh, src, plan=src_plan)
+                if self.use_attention:
+                    logits = leaky_relu(
+                        gather_rows(wh @ self.attn_dst[key], dst, plan=dst_plan)
+                        + gather_rows(wh @ self.attn_src[key], src, plan=src_plan),
+                        self.negative_slope,
+                    )
+                    alpha = segment_softmax(
+                        logits, dst, inputs.num_nodes, plan=dst_plan
+                    )
+                    heads.append(segment_sum(
+                        messages * alpha, dst, inputs.num_nodes, plan=dst_plan
+                    ))
+                else:
+                    heads.append(segment_mean(
+                        messages, dst, inputs.num_nodes, plan=dst_plan
+                    ))
             group = heads[0] if len(heads) == 1 else concat(heads, axis=1)
             agg = group if agg is None else agg + group
         if agg is None:
             agg = h * Tensor(0.0)  # no edges at all: zero neighbourhood
+        return agg
+
+    def forward(self, h: Tensor, inputs: GraphInputs) -> Tensor:
+        if ops.plans_enabled():
+            agg = self._aggregate(h, inputs)
+        else:
+            agg = self._legacy_aggregate(h, inputs)
         if self.concat_skip:
             combined = concat([h, agg + self.agg_bias], axis=1)
         else:

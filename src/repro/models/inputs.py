@@ -25,7 +25,7 @@ import numpy as np
 from repro.data.dataset import CircuitRecord
 from repro.data.normalize import FeatureScaler
 from repro.graph.hetero import HeteroGraph
-from repro.nn.plan import SegmentPlan
+from repro.nn.plan import RelationalLayout, SegmentPlan
 from repro.nn import precision
 
 
@@ -284,6 +284,31 @@ class GraphInputs:
                 lambda: SegmentPlan.build(dst, self.num_nodes),
             ),
         )
+
+    def relational_layout(self) -> RelationalLayout:
+        """The fused relational layers' edge layout (RGCN, ParaGraph).
+
+        Blocks follow ``sorted(edges)``, the type-major order of
+        ``merged_src``/``merged_dst``, so the layout reuses the merged
+        plans and stitches its ``(type, dst)`` plan from the per-type
+        destination plans: for a mega-batch every one of those is already
+        a stitched per-graph plan, so no edge list is re-sorted.
+        """
+
+        def build():
+            types = sorted(self.edges)
+            src_plan, dst_plan = self.merged_plans()
+            return RelationalLayout.build(
+                self.num_nodes,
+                types,
+                self.merged_src,
+                self.merged_dst,
+                [self.edge_plans(edge_type)[1] for edge_type in types],
+                src_plan,
+                dst_plan,
+            )
+
+        return self._cached("relational_layout", build)
 
     def node_type_plans(self) -> dict[str, SegmentPlan]:
         """Scatter plans for placing per-type rows into the node matrix."""

@@ -21,6 +21,7 @@ from repro.nn.ops import (
     l2_normalize_rows,
     leaky_relu,
     plans_enabled,
+    relational_aggregate,
     relu,
     scatter_rows,
     segment_mean,
@@ -30,7 +31,7 @@ from repro.nn.ops import (
     tanh,
     use_legacy_kernels,
 )
-from repro.nn.plan import SegmentPlan
+from repro.nn.plan import RelationalLayout, SegmentPlan
 from repro.nn.precision import compute_dtype, get_compute_dtype, set_compute_dtype
 from repro.nn.optim import (
     SGD,
@@ -49,6 +50,7 @@ __all__ = [
     "MLP",
     "Linear",
     "KernelBackend",
+    "RelationalLayout",
     "SegmentPlan",
     "backend",
     "compute_dtype",
@@ -70,6 +72,7 @@ __all__ = [
     "gather_rows",
     "l2_normalize_rows",
     "leaky_relu",
+    "relational_aggregate",
     "relu",
     "scatter_rows",
     "segment_mean",

@@ -38,8 +38,8 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn.backend import get_backend
-from repro.nn.plan import SegmentPlan
-from repro.nn.tensor import Tensor, as_tensor
+from repro.nn.plan import RelationalLayout, SegmentPlan
+from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled
 
 # ----------------------------------------------------------------------
 # Kernel-mode switch (plan-based vs legacy np.add.at)
@@ -277,6 +277,71 @@ def segment_softmax(
     denom = segment_sum(exp_scores, segment_ids, num_segments, plan)
     denom = denom.clip_min(float(np.finfo(scores.data.dtype).tiny))
     return exp_scores / gather_rows(denom, segment_ids, plan)
+
+
+def relational_aggregate(
+    h: Tensor,
+    layout: RelationalLayout,
+    weights: "Sequence[Sequence[Tensor] | None]",
+    attn_dst: "Sequence[Sequence[Tensor] | None] | None" = None,
+    attn_src: "Sequence[Sequence[Tensor] | None] | None" = None,
+    negative_slope: float = 0.2,
+    return_alpha: bool = False,
+) -> "Tensor | tuple[Tensor, np.ndarray]":
+    """Fused relational aggregation: per-edge-type attention or mean.
+
+    One autodiff node over
+    :meth:`~repro.nn.backend.KernelBackend.relational_aggregate`: block
+    ``t`` of *layout* uses head weights ``weights[t]`` (and attention
+    vectors ``attn_dst[t]``/``attn_src[t]``; without them each type is
+    mean-aggregated), ``None`` marking a block that contributes nothing.
+    The backward is the kernel's closed form, so neither inference nor
+    training records a per-edge-type chain of tape nodes.  A parameter
+    shared by several blocks receives the sum of their gradients.  With
+    *return_alpha* the ``(E, H)`` edge weights come back as well.
+    """
+    h = as_tensor(h)
+    attention: list = []  # [attn_dst, attn_src] per block, or nothing
+    if attn_dst is not None or attn_src is not None:
+        if attn_dst is None or attn_src is None:
+            raise ShapeError("attention needs both attn_dst and attn_src")
+        attention = [attn_dst, attn_src]
+    active = [
+        t for t, head_weights in enumerate(weights) if head_weights is not None
+    ]
+    tables: list = [weights, *attention]
+    parents: list = [h]
+    for t in active:
+        for table in tables:
+            parents.extend(table[t])
+    save = is_grad_enabled() and any(p.requires_grad for p in parents)
+
+    def arrays(per_block):
+        return [
+            None if tensors is None else [t.data for t in tensors]
+            for tensors in per_block
+        ]
+
+    backend = get_backend()
+    out_data, alpha, tape = backend.relational_aggregate(
+        h.data,
+        layout,
+        arrays(weights),
+        *[arrays(per_block) for per_block in attention],
+        negative_slope=negative_slope,
+        save=save,
+    )
+
+    def backward(grad: np.ndarray):
+        g_h, *per_table = backend.relational_aggregate_backward(grad, tape)
+        grads: list = [g_h]
+        for t in active:
+            for table, g_table in zip(tables, per_table):
+                grads.extend(g_table.get(t, [None] * len(table[t])))
+        return tuple(grads)
+
+    out = Tensor._make(out_data, parents, backward)
+    return (out, alpha) if return_alpha else out
 
 
 def scatter_rows(

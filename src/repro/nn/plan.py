@@ -323,3 +323,122 @@ class SegmentPlan:
         """``1 / max(counts, 1)`` as a (S, 1) column in *dtype*."""
         counts = np.maximum(self.counts, 1).astype(dtype)
         return (1.0 / counts).reshape(-1, 1)
+
+
+@dataclass(frozen=True)
+class RelationalLayout:
+    """Type-major edge layout of one fused relational aggregation.
+
+    The edge list is grouped into contiguous blocks, one per edge type in
+    ``types`` order: block ``t`` holds edges ``bounds[t]:bounds[t + 1]``
+    of ``src``/``dst``.  ``segments`` groups the edges by ``(type, dst)``
+    (segment id ``t * num_nodes + dst``), so a softmax or mean over it
+    normalises within each edge type, as paper Algorithm 1 does; it is
+    the per-type destination plans concatenated at offsets
+    ``t * num_nodes`` (:meth:`SegmentPlan.concat`, no argsort).
+    ``src_plan``/``dst_plan`` scatter edge rows back into nodes.
+    """
+
+    num_nodes: int
+    types: tuple  #: edge type of each block, in block order
+    bounds: np.ndarray  #: (T + 1,) int64 block boundaries into the edges
+    src: np.ndarray  #: (E,) int64 source node per edge, type-major
+    dst: np.ndarray  #: (E,) int64 destination node per edge, type-major
+    segments: SegmentPlan  #: plan over the (type, dst) segments
+    src_plan: SegmentPlan  #: plan of ``src`` over ``num_nodes``
+    dst_plan: SegmentPlan  #: plan of ``dst`` over ``num_nodes``
+    #: ``(edge type, start, stop)`` per block, in block order
+    blocks: tuple = field(default=(), compare=False)
+    #: cached per-edge tables: inverse segment sizes, score indices
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def build(
+        cls,
+        num_nodes: int,
+        types: "list[str]",
+        src: np.ndarray,
+        dst: np.ndarray,
+        dst_plans: "list[SegmentPlan]",
+        src_plan: SegmentPlan,
+        dst_plan: SegmentPlan,
+    ) -> "RelationalLayout":
+        """Assemble a layout from the type-major edge list and its plans.
+
+        ``dst_plans[t]`` is edge type ``types[t]``'s destination plan over
+        ``num_nodes``; ``src``/``dst`` concatenate the per-type edges in
+        ``types`` order, and ``src_plan``/``dst_plan`` are their plans.
+        """
+        sizes = [plan.num_items for plan in dst_plans]
+        bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        if int(bounds[-1]) != len(src) or len(src) != len(dst):
+            raise ShapeError(
+                f"per-type plans cover {int(bounds[-1])} edges, the edge "
+                f"list has {len(src)} sources and {len(dst)} destinations"
+            )
+        segments = SegmentPlan.concat(
+            list(dst_plans),
+            np.arange(len(sizes), dtype=np.int64) * int(num_nodes),
+            len(sizes) * int(num_nodes),
+        )
+        return cls(
+            num_nodes=int(num_nodes),
+            types=tuple(types),
+            bounds=bounds,
+            src=src,
+            dst=dst,
+            segments=segments,
+            src_plan=src_plan,
+            dst_plan=dst_plan,
+            blocks=tuple(
+                (edge_type, int(bounds[t]), int(bounds[t + 1]))
+                for t, edge_type in enumerate(types)
+            ),
+        )
+
+    @property
+    def num_edges(self) -> int:
+        return self.src.shape[0]
+
+    def score_index(
+        self, heads: int
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Flat indices of the attention logits in a node score table.
+
+        The table is ``(N, 2 * T * heads)``: column ``(side, t, j)`` holds
+        every node's score against block ``t``'s head-``j`` attention
+        vector on the destination (side 0) or source (side 1) end.
+        Returns ``(dst, src, edge)``, each ``(E, heads)``: edge ``k``'s
+        logit is ``table[dst[k]] + table[src[k]]`` (flat), and ``edge``
+        places it in an ``(E, T * heads)`` per-edge table.
+        """
+        index = self._tables.get(("score", heads))
+        if index is None:
+            width = len(self.types) * heads
+            block = np.repeat(
+                np.arange(len(self.types), dtype=np.int64), np.diff(self.bounds)
+            )
+            columns = block[:, None] * heads + np.arange(heads, dtype=np.int64)
+            index = (
+                self.dst[:, None] * (2 * width) + columns,
+                self.src[:, None] * (2 * width) + width + columns,
+                np.arange(self.num_edges, dtype=np.int64)[:, None] * width
+                + columns,
+            )
+            self._tables[("score", heads)] = index
+        return index
+
+    def inverse_sizes(self, dtype: np.dtype) -> np.ndarray:
+        """``1 / |segment|`` of each edge's (type, dst) segment, as (E, 1).
+
+        The weights of a per-type mean aggregator: the attention-free
+        special case of the fused softmax.
+        """
+        dtype = np.dtype(dtype)
+        inverse = self._tables.get(dtype)
+        if inverse is None:
+            segments = self.segments
+            inverse = segments.inverse_counts(dtype)[segments.segment_ids]
+            self._tables[dtype] = inverse
+        return inverse

@@ -61,6 +61,8 @@ from repro.serve.shm import (
 DEFAULT_DRAIN_TIMEOUT_S = 15.0
 #: Seconds to wait for a forked worker's readiness handshake.
 READY_TIMEOUT_S = 60.0
+#: Seconds between a worker's checks that its parent is still alive.
+PARENT_POLL_S = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +238,8 @@ def _child_main(
     listener: socket.socket,
     ready_fd: int,
     generation: int,
+    parent_pid: int,
+    weights: "PublishedArrays | None",
 ) -> "None":  # never returns: always os._exit
     status = 0
     try:
@@ -337,6 +341,20 @@ def _child_main(
             ).start()
 
         signal.signal(signal.SIGTERM, _drain)
+        orphaned = threading.Event()
+
+        def _watch_parent():
+            # A parent that dies without stop() (SIGKILL, OOM) never
+            # drains us: take the drain path ourselves rather than serve
+            # on as an orphan.
+            while os.getppid() == parent_pid:
+                time.sleep(PARENT_POLL_S)
+            orphaned.set()
+            _drain(signal.SIGTERM, None)
+
+        threading.Thread(
+            target=_watch_parent, name="parent-watch", daemon=True
+        ).start()
         os.write(ready_fd, f"ready {server.port} gen {generation}\n".encode())
         os.close(ready_fd)
         if not term_early["hit"]:
@@ -349,6 +367,8 @@ def _child_main(
             # merged view never mixes a dead pid's counts back in
             obs.registry().detach_mirror()
             writer.close(unlink=True)
+        if orphaned.is_set() and weights is not None:
+            weights.unlink()  # nobody else is left to retire the segment
     except BaseException:
         status = 1
         try:  # pragma: no cover - crash reporting only
@@ -483,13 +503,14 @@ class ServerPool:
     def _spawn(self, index: int, generation: int) -> WorkerInfo:
         listener, close_after_fork = self._next_listener()
         read_fd, write_fd = os.pipe()
+        parent_pid = os.getpid()
         pid = os.fork()
         if pid == 0:
             # -- child ------------------------------------------------
             os.close(read_fd)
             _child_main(
                 index, self.config, self.registry, listener, write_fd,
-                generation,
+                generation, parent_pid, self._published,
             )
             os._exit(1)  # pragma: no cover - _child_main never returns
         # -- parent ---------------------------------------------------

@@ -226,24 +226,29 @@ class _Checker:
         return self.linear(f"{where}.linear", layer.linear, combined)
 
     def _conv_RGCNConv(self, where, layer, h, edge_types) -> SymTensor:
-        agg = None
+        # fused relational op: h[src] gathered once, each edge type's
+        # block transformed into one shared (E, D) message buffer, mean
+        # weights (E, 1) per (type, dst) segment, one scatter into dst
+        edges = self.gather(h, SymDim.sym("E"))
+        messages = None
         for edge_type in layer.edge_types:
-            weight = layer.relation_weights[edge_type]
-            messages = self.matmul(
+            block = self.matmul(
                 f"{where}.relation_weights[{edge_type}]",
-                self.gather(h, SymDim.sym(f"E[{edge_type}]")),
-                weight.data,
+                edges,
+                layer.relation_weights[edge_type].data,
             )
-            contribution = self.segment_reduce(messages, h.rows)
-            agg = (
-                contribution
-                if agg is None
-                else self.add(f"{where} (edge {edge_type})", agg, contribution)
-            )
+            if messages is None:
+                messages = block
+            elif not block.cols.compatible(messages.cols):
+                self.fail(
+                    f"{where} (edge {edge_type})",
+                    f"block writes {block.cols} columns into the shared "
+                    f"{messages} message buffer",
+                )
         self_term = self.matmul(f"{where}.self_weight", h, layer.self_weight.data)
-        if agg is None:
+        if messages is None:
             return self_term
-        return self.add(where, agg, self_term)
+        return self.add(where, self.segment_reduce(messages, h.rows), self_term)
 
     def _conv_GATConv(self, where, layer, h, edge_types) -> SymTensor:
         wh = self.matmul(f"{where}.weight", h, layer.weight.data)
@@ -261,7 +266,12 @@ class _Checker:
         return self.segment_reduce(messages, h.rows)
 
     def _conv_ParaGraphConv(self, where, layer, h, edge_types) -> SymTensor:
+        # fused relational op: h[src] gathered once; per edge-type block
+        # the heads' weights fill one (E, H*hd) buffer side by side, and
+        # each head's attention vectors fold through its weight (W a, one
+        # column) so the logits are (E, H) gathers of h @ (W a)
         dim = h.cols
+        edges = self.gather(h, SymDim.sym("E"))
         head_cols: "SymDim | None" = None
         for group in layer.edge_types:
             per_head = []
@@ -270,30 +280,27 @@ class _Checker:
                 if key not in layer.type_weights:
                     self.fail(where, f"missing type weight for {key!r}")
                     continue
-                e_rows = SymDim.sym(f"E[{group}]")
-                wh_src = self.matmul(
-                    f"{where}.type_weights[{key}]",
-                    self.gather(h, e_rows),
-                    layer.type_weights[key].data,
+                weight = layer.type_weights[key].data
+                per_head.append(
+                    self.matmul(f"{where}.type_weights[{key}]", edges, weight)
                 )
                 if layer.use_attention:
-                    score = self.add(
-                        f"{where} attention logits [{key}]",
-                        self.matmul(
-                            f"{where}.attn_dst[{key}]", wh_src,
-                            layer.attn_dst[key].data,
-                        ),
-                        self.matmul(
-                            f"{where}.attn_src[{key}]", wh_src,
-                            layer.attn_src[key].data,
-                        ),
+                    weight_sym = SymTensor(
+                        SymDim.of(weight.shape[0]),
+                        SymDim.of(weight.shape[-1]),
+                        weight.dtype,
                     )
-                    if score.cols.is_concrete() and score.cols.size != 1:
-                        self.fail(
-                            where,
-                            f"attention logits must have 1 column, got {score}",
+                    for side in ("attn_dst", "attn_src"):
+                        folded = self.matmul(
+                            f"{where}.{side}[{key}]", weight_sym,
+                            getattr(layer, side)[key].data,
                         )
-                per_head.append(self.segment_reduce(wh_src, h.rows))
+                        if folded.cols.is_concrete() and folded.cols.size != 1:
+                            self.fail(
+                                where,
+                                f"folded attention W a [{key}] must have "
+                                f"1 column, got {folded}",
+                            )
             if not per_head:
                 continue
             group_out = (
@@ -306,6 +313,12 @@ class _Checker:
                     where,
                     f"{layer.num_heads} head(s) of group {group!r} concat to "
                     f"{group_out.cols} columns; must reassemble embed_dim {dim}",
+                )
+            if head_cols is not None and not group_out.cols.compatible(head_cols):
+                self.fail(
+                    where,
+                    f"group {group!r} writes {group_out.cols} columns into "
+                    f"the shared (E, {head_cols}) message buffer",
                 )
             head_cols = group_out.cols
         agg = SymTensor(h.rows, head_cols if head_cols is not None else dim, h.dtype)

@@ -235,6 +235,49 @@ class TestLifecycle:
             assert response.headers.get("X-Worker") is None
 
 
+class TestResponseWrites:
+    """A response leaves in one write on a TCP_NODELAY socket: headers and
+    body in two sends let Nagle hold the body back until the client's
+    delayed ACK on a keep-alive connection."""
+
+    def test_one_write_per_response_with_nodelay(self, served, monkeypatch):
+        import http.client
+        import socket
+
+        writes = []  # (TCP_NODELAY, bytes) per send on a server socket
+        originals = {name: getattr(socket.socket, name) for name in ("send", "sendall")}
+
+        def recording(name):
+            def call(sock, data, *args):
+                if sock.getsockname()[1] == served.port:
+                    nodelay = sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                    writes.append((nodelay, bytes(data)))
+                return originals[name](sock, data, *args)
+
+            return call
+
+        for name in originals:
+            monkeypatch.setattr(socket.socket, name, recording(name))
+        connection = http.client.HTTPConnection(
+            served.host, served.port, timeout=10.0
+        )
+        try:
+            for _ in range(2):  # twice on one keep-alive connection
+                writes.clear()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == 200
+                assert len(writes) == 1, [len(data) for _, data in writes]
+                nodelay, data = writes[0]
+                assert nodelay
+                assert data.startswith(b"HTTP/1.1 200") and data.endswith(body)
+        finally:
+            connection.close()
+
+
 class TestTelemetry:
     """Request IDs, worker identity on /healthz, Prometheus exposition,
     and the access log — the fleet-observability surface."""

@@ -244,6 +244,68 @@ class TestServerPool:
         assert status == 200
 
 
+#: Hosts a 1-worker pool in a child process, prints its worker pids and
+#: weight segment, then blocks until killed.
+_HOST = """
+import json, os, sys
+from repro.serve.pool import PoolConfig, ServerPool
+config = PoolConfig(workers=1, port=0, metrics_dir=sys.argv[2])
+pool = ServerPool(sys.argv[1], config=config).start()
+print(json.dumps({"pids": pool.pids(), "segment": pool._published.segment_name}),
+      flush=True)
+sys.stdin.read()
+"""
+
+
+def _process_gone(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state in ("Z", "X")  # exited; a subreaper may not reap it
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm") or not os.path.isdir("/proc"),
+    reason="needs Linux /proc and /dev/shm",
+)
+class TestOrphanedWorkers:
+    def test_worker_exits_and_unlinks_segment_when_parent_dies(
+        self, artifact, tmp_path
+    ):
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen(
+            [sys.executable, "-c", _HOST, os.fspath(artifact),
+             os.fspath(tmp_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+        ) as host:
+            started = json.loads(host.stdout.readline())
+            (worker,) = started["pids"]
+            segment = os.path.join("/dev/shm", started["segment"])
+            try:
+                assert os.path.exists(segment)
+                host.send_signal(signal.SIGKILL)
+                host.wait(timeout=10.0)
+                deadline = time.monotonic() + 20.0
+                while time.monotonic() < deadline:
+                    if _process_gone(worker) and not os.path.exists(segment):
+                        break
+                    time.sleep(0.1)
+                assert _process_gone(worker), "orphaned worker kept running"
+                assert not os.path.exists(segment), "weight segment leaked"
+            finally:
+                host.kill()
+                if not _process_gone(worker):
+                    os.kill(worker, signal.SIGKILL)
+
+
 class TestPoolConfig:
     def test_rejects_zero_workers(self, artifact):
         with pytest.raises(ServeError, match="at least one"):

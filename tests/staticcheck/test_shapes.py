@@ -139,6 +139,23 @@ class TestInjectedMismatches:
         findings = check_regressor(model, feature_dims=FEATURE_DIMS)
         assert findings
 
+    def test_paragraph_folded_attention_must_be_one_column(self):
+        model = make_model("paragraph")
+        conv = model.convs[1]
+        key = next(iter(conv.attn_src))
+        conv.attn_src[key].data = np.zeros((32, 2))
+        findings = check_regressor(model, feature_dims=FEATURE_DIMS)
+        assert findings and "folded attention" in findings[0].message
+        assert "convs.1" in findings[0].message
+
+    def test_rgcn_blocks_share_one_message_buffer(self):
+        model = make_model("rgcn")
+        conv = model.convs[0]
+        edge_type = conv.edge_types[-1]
+        conv.relation_weights[edge_type].data = np.zeros((32, 16))
+        findings = check_regressor(model, feature_dims=FEATURE_DIMS)
+        assert any("message buffer" in f.message for f in findings)
+
     def test_findings_use_model_path(self):
         model = make_model("gcn")
         model.readout.layers[0].weight.data = np.zeros((99, 32))
